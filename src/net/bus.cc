@@ -1,6 +1,8 @@
 #include "net/bus.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 #include "common/logging.h"
@@ -96,7 +98,42 @@ void InProcessBus::Push(double at_ms, Event event) {
     slot = slots_.size();
     slots_.push_back(std::move(event));
   }
-  events_.push(EventKey{at_ms, next_seq_++, slot});
+  PushKey(EventKey{at_ms, next_seq_++, slot});
+}
+
+void InProcessBus::PushKey(const EventKey& key) {
+  if (fifo_head_ == fifo_.size() || key.at_ms >= fifo_.back().at_ms) {
+    // seq only grows, so the key sorts after the lane's newest entry.
+    if (fifo_.size() == fifo_.capacity() && 2 * fifo_head_ >= fifo_.size()) {
+      // Reclaim the consumed prefix instead of growing: at least half the
+      // vector frees up, so the moves amortize to O(1) per push.
+      fifo_.erase(fifo_.begin(),
+                  fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+      fifo_head_ = 0;
+    }
+    fifo_.push_back(key);
+  } else {
+    heap_.push(key);
+  }
+}
+
+bool InProcessBus::FifoFirst() const {
+  if (fifo_head_ == fifo_.size()) return false;
+  return heap_.empty() || Earlier(fifo_[fifo_head_], heap_.top());
+}
+
+InProcessBus::EventKey InProcessBus::PopKey() {
+  if (!FifoFirst()) {
+    const EventKey key = heap_.top();
+    heap_.pop();
+    return key;
+  }
+  const EventKey key = fifo_[fifo_head_++];
+  if (fifo_head_ == fifo_.size()) {
+    fifo_.clear();
+    fifo_head_ = 0;
+  }
+  return key;
 }
 
 void InProcessBus::Send(Message message) {
@@ -169,18 +206,26 @@ void InProcessBus::Dispatch(double at_ms, const Event& event) {
   ++stats_.delivered;
   if (delivered_counter_ != nullptr) delivered_counter_->Increment();
   if (endpoint.delivered != nullptr) endpoint.delivered->Increment();
-  if (config_.verify_wire_format) {
-    const auto round_trip = Deserialize(Serialize(event.message));
-    assert(round_trip.has_value() && *round_trip == event.message);
-    (void)round_trip;
-  }
+  if (config_.verify_wire_format) VerifyWire(event.message, &wire_scratch_);
   if (endpoint.on_message) endpoint.on_message(event.message);
 }
 
+void InProcessBus::VerifyWire(const Message& message,
+                              WireCheckScratch* scratch) const {
+  if (WireRoundTrips(message, scratch)) return;
+  std::fprintf(stderr,
+               "InProcessBus: wire self-check failed on a message from %s "
+               "to %s (payload kind %zu): its encoding does not decode and "
+               "re-encode to the same bytes.\n",
+               endpoints_[message.sender].name.c_str(),
+               endpoints_[message.receiver].name.c_str(),
+               message.payload.index());
+  std::abort();
+}
+
 bool InProcessBus::DeliverNext() {
-  if (events_.empty()) return false;
-  const EventKey key = events_.top();
-  events_.pop();
+  if (pending() == 0) return false;
+  const EventKey key = PopKey();
   // Move the payload out of the slot before dispatch: the handler may push
   // new events and recycle slots.
   Event event = std::move(slots_[key.slot]);
@@ -190,9 +235,8 @@ bool InProcessBus::DeliverNext() {
 }
 
 void InProcessBus::RunUntil(double until_ms) {
-  while (!events_.empty() && events_.top().at_ms <= until_ms) {
-    const EventKey key = events_.top();
-    events_.pop();
+  while (pending() != 0 && NextKey().at_ms <= until_ms) {
+    const EventKey key = PopKey();
     Event event = std::move(slots_[key.slot]);
     free_slots_.push_back(key.slot);
     Dispatch(key.at_ms, event);
@@ -215,13 +259,12 @@ void InProcessBus::RunAllParallel(ThreadPool* pool) {
   // would permute.
   assert(config_.drop_probability == 0.0 && config_.jitter_ms == 0.0);
   std::vector<EventKey>& wave = wave_scratch_;
-  while (!events_.empty()) {
-    const double at = events_.top().at_ms;
+  while (pending() != 0) {
+    const double at = NextKey().at_ms;
     wave.clear();
     bool has_timer = false;
-    while (!events_.empty() && events_.top().at_ms == at) {
-      wave.push_back(events_.top());
-      events_.pop();
+    while (pending() != 0 && NextKey().at_ms == at) {
+      wave.push_back(PopKey());
       if (slots_[wave.back().slot].is_timer) has_timer = true;
     }
     if (has_timer || wave.size() < 2) {
@@ -281,11 +324,12 @@ void InProcessBus::DispatchWaveParallel(double at_ms,
   // are redirected to the lane outbox via tls_deferred_sends.
   const int participants =
       pool->ParticipantsFor(group_count, /*min_items_per_thread=*/1);
-  if (lane_outboxes_.size() < static_cast<std::size_t>(participants)) {
-    lane_outboxes_.resize(static_cast<std::size_t>(participants));
+  const auto lanes = static_cast<std::size_t>(participants);
+  if (lane_outboxes_.size() < lanes) {
+    lane_outboxes_.resize(lanes);
+    lane_delivered_.resize(lanes);
+    lane_wire_.resize(lanes);
   }
-  std::vector<std::uint64_t> lane_delivered(
-      static_cast<std::size_t>(participants), 0);
   pool->RunRegion(participants, [&](int index, int total) {
     const auto [begin, end] = ChunkRange(group_count, total, index);
     tls_deferred_sends = &lane_outboxes_[static_cast<std::size_t>(index)];
@@ -297,14 +341,13 @@ void InProcessBus::DispatchWaveParallel(double at_ms,
         ++delivered;
         if (endpoint.delivered != nullptr) endpoint.delivered->Increment();
         if (config_.verify_wire_format) {
-          const auto round_trip = Deserialize(Serialize(event.message));
-          assert(round_trip.has_value() && *round_trip == event.message);
-          (void)round_trip;
+          VerifyWire(event.message,
+                     &lane_wire_[static_cast<std::size_t>(index)]);
         }
         if (endpoint.on_message) endpoint.on_message(event.message);
       }
     }
-    lane_delivered[static_cast<std::size_t>(index)] = delivered;
+    lane_delivered_[static_cast<std::size_t>(index)] = delivered;
     tls_deferred_sends = nullptr;
   });
 
@@ -313,8 +356,8 @@ void InProcessBus::DispatchWaveParallel(double at_ms,
   // [ChunkRange(i)), so concatenating lanes 0..P-1 replays them in group
   // order — the same sequence at any thread count.
   std::uint64_t total_delivered = 0;
-  for (const std::uint64_t delivered : lane_delivered) {
-    total_delivered += delivered;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    total_delivered += lane_delivered_[lane];
   }
   stats_.delivered += total_delivered;
   if (delivered_counter_ != nullptr) {

@@ -11,6 +11,11 @@
 // Determinism: all randomness (jitter, drops) comes from a seeded generator,
 // and simultaneous events break ties by sequence number, so a given seed
 // always yields the same trace.
+//
+// Cost: delivery is O(1) per event when events arrive in time order (every
+// sync round), through a FIFO lane beside the event heap (DESIGN.md
+// §7.13), and allocation-free in steady state, the wire self-check
+// included.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +41,12 @@ struct BusConfig {
   double jitter_ms = 0.0;       ///< uniform extra delay in [0, jitter_ms)
   double drop_probability = 0.0;
   std::uint64_t seed = 1;
-  /// Deserialize-after-serialize on every delivery (exercises the wire
-  /// format; off saves time in big sweeps).
+  /// Wire self-check on every delivery: encode the message, decode the
+  /// bytes, re-encode the result and compare the two encodings byte for
+  /// byte (WireRoundTrips).  A decode failure or a byte mismatch prints the
+  /// endpoints and payload kind and aborts, in every build type.  Reuses
+  /// its buffers, so it allocates nothing in steady state; off skips the
+  /// work in big sweeps.
   bool verify_wire_format = true;
   /// Registry for the bus counters: global bus.sent / bus.delivered /
   /// bus.dropped / bus.delayed (messages that drew extra jitter delay) /
@@ -126,7 +135,9 @@ class InProcessBus {
 
   double now_ms() const { return now_ms_; }
   const BusStats& stats() const { return stats_; }
-  std::size_t pending() const { return events_.size(); }
+  std::size_t pending() const {
+    return (fifo_.size() - fifo_head_) + heap_.size();
+  }
   const std::string& endpoint_name(EndpointId id) const {
     return endpoints_[id].name;
   }
@@ -147,22 +158,39 @@ class InProcessBus {
     std::uint64_t token = 0;  // timers
     Message message;          // messages
   };
-  /// Heap entries are small and trivially copyable; payloads live in the
-  /// slot table (also avoids moving std::variant through heap operations).
+  /// Queue entries are small and trivially copyable; payloads live in the
+  /// slot table, so neither queue lane moves a std::variant.  Events are
+  /// delivered in (at_ms, seq) order; seq is unique and grows with every
+  /// push, so simultaneous events keep their push order.
   struct EventKey {
     double at_ms;
-    std::uint64_t seq;  ///< tie-break for determinism
+    std::uint64_t seq;
     std::size_t slot;
   };
+  static bool Earlier(const EventKey& a, const EventKey& b) {
+    if (a.at_ms != b.at_ms) return a.at_ms < b.at_ms;
+    return a.seq < b.seq;
+  }
   struct EventLater {
     bool operator()(const EventKey& a, const EventKey& b) const {
-      if (a.at_ms != b.at_ms) return a.at_ms > b.at_ms;
-      return a.seq > b.seq;
+      return Earlier(b, a);
     }
   };
 
   void Push(double at_ms, Event event);
+  /// Two-lane queue (DESIGN.md §7.13): PushKey appends to the FIFO lane
+  /// when the key is not earlier than the lane's newest, else pushes it on
+  /// the heap; PopKey takes the earlier of the two heads.  Requires
+  /// pending() > 0 for NextKey/PopKey.
+  void PushKey(const EventKey& key);
+  bool FifoFirst() const;
+  const EventKey& NextKey() const {
+    return FifoFirst() ? fifo_[fifo_head_] : heap_.top();
+  }
+  EventKey PopKey();
   void Dispatch(double at_ms, const Event& event);
+  /// Runs the wire self-check on a delivery; aborts on failure.
+  void VerifyWire(const Message& message, WireCheckScratch* scratch) const;
   /// One parallel wave: serial blackout drops + receiver grouping, the
   /// fan-out, then the serial commit (stats, slot recycling, deferred
   /// sends).
@@ -174,17 +202,28 @@ class InProcessBus {
   std::vector<Endpoint> endpoints_;
   std::vector<double> blackout_until_ms_;  ///< parallel to endpoints_
   std::vector<std::uint32_t> incarnation_;  ///< parallel to endpoints_
-  std::priority_queue<EventKey, std::vector<EventKey>, EventLater> events_;
+  /// FIFO lane: fifo_[fifo_head_..] is sorted by (at_ms, seq) by
+  /// construction.  The consumed prefix is dropped when the lane drains,
+  /// or when it is at least half the vector and the vector is full.
+  std::vector<EventKey> fifo_;
+  std::size_t fifo_head_ = 0;
+  /// Events the lane cannot take: jittered sends, timers due before the
+  /// lane's newest event.
+  std::priority_queue<EventKey, std::vector<EventKey>, EventLater> heap_;
   std::vector<Event> slots_;
   std::vector<std::size_t> free_slots_;
   double now_ms_ = 0.0;
   std::uint64_t next_seq_ = 0;
   BusStats stats_;
 
+  /// Wire self-check buffers for serial delivery.
+  WireCheckScratch wire_scratch_;
+
   /// Scratch for RunAllParallel, reused across waves to avoid per-wave
   /// allocation: the receiver groups (endpoint + its wave slots in seq
   /// order), the endpoint -> active-group map (-1 when untouched), and the
-  /// per-lane deferred-send outboxes.
+  /// per-lane deferred-send outboxes, delivered tallies and wire-check
+  /// buffers.
   struct WaveGroup {
     EndpointId endpoint = 0;
     std::vector<std::size_t> slots;
@@ -192,6 +231,8 @@ class InProcessBus {
   std::vector<WaveGroup> wave_groups_;
   std::vector<int> endpoint_wave_group_;
   std::vector<std::vector<Message>> lane_outboxes_;
+  std::vector<std::uint64_t> lane_delivered_;
+  std::vector<WireCheckScratch> lane_wire_;
   std::vector<EventKey> wave_scratch_;
 
   /// Global counters (null when no registry is configured).

@@ -1,5 +1,7 @@
 #include "net/message.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "model/section_codec.h"
@@ -19,67 +21,126 @@ constexpr std::uint8_t kTagShardPriceUpdate = 6;
 /// can catch them (2^24 entries is ~134 MB of f64 — far beyond any shard).
 constexpr std::uint32_t kMaxShardEntries = 1u << 24;
 
+[[noreturn]] void EncodeFault(const char* what) {
+  std::fprintf(stderr, "net::Serialize: %s\n", what);
+  std::abort();
+}
+
+/// Writes into a buffer pre-sized by WireSize; every write is bounds-checked
+/// so a WireSize/encoder disagreement aborts instead of overrunning.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>* out) : out_(out) {}
+  Writer(std::uint8_t* out, std::size_t size) : p_(out), end_(out + size) {}
 
-  void U8(std::uint8_t v) { out_->push_back(v); }
+  void U8(std::uint8_t v) {
+    Need(1);
+    *p_++ = v;
+  }
   void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_->push_back((v >> (8 * i)) & 0xff);
+    Need(4);
+    for (int i = 0; i < 4; ++i) *p_++ = (v >> (8 * i)) & 0xff;
   }
   void F64(double v) {
+    Need(8);
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) out_->push_back((bits >> (8 * i)) & 0xff);
+    for (int i = 0; i < 8; ++i) *p_++ = (bits >> (8 * i)) & 0xff;
   }
   void Bytes(const char* data, std::size_t size) {
-    out_->insert(out_->end(), reinterpret_cast<const std::uint8_t*>(data),
-                 reinterpret_cast<const std::uint8_t*>(data) + size);
+    Need(size);
+    if (size != 0) std::memcpy(p_, data, size);
+    p_ += size;
   }
+  bool AtEnd() const { return p_ == end_; }
 
  private:
-  std::vector<std::uint8_t>* out_;
+  void Need(std::size_t n) const {
+    if (static_cast<std::size_t>(end_ - p_) < n) {
+      EncodeFault("encoding overruns WireSize(message)");
+    }
+  }
+
+  std::uint8_t* p_;
+  std::uint8_t* end_;
 };
 
 class Reader {
  public:
-  explicit Reader(const std::vector<std::uint8_t>& in) : in_(in) {}
+  Reader(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {}
 
   bool U8(std::uint8_t* v) {
-    if (pos_ + 1 > in_.size()) return false;
-    *v = in_[pos_++];
+    if (pos_ + 1 > size_) return false;
+    *v = data_[pos_++];
     return true;
   }
   bool U32(std::uint32_t* v) {
-    if (pos_ + 4 > in_.size()) return false;
+    if (pos_ + 4 > size_) return false;
     *v = 0;
     for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(in_[pos_++]) << (8 * i);
+      *v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
     }
     return true;
   }
   bool F64(double* v) {
-    if (pos_ + 8 > in_.size()) return false;
+    if (pos_ + 8 > size_) return false;
     std::uint64_t bits = 0;
     for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(in_[pos_++]) << (8 * i);
+      bits |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
     }
     std::memcpy(v, &bits, sizeof(*v));
     return true;
   }
   /// Remaining bytes (the positional payloads extend to the end of the
   /// message, so their length is implicit).
-  std::size_t Remaining() const { return in_.size() - pos_; }
+  std::size_t Remaining() const { return size_ - pos_; }
   const char* Here() const {
-    return reinterpret_cast<const char*>(in_.data()) + pos_;
+    return reinterpret_cast<const char*>(data_) + pos_;
   }
   void Skip(std::size_t n) { pos_ += n; }
-  bool AtEnd() const { return pos_ == in_.size(); }
+  bool AtEnd() const { return pos_ == size_; }
 
  private:
-  const std::vector<std::uint8_t>& in_;
+  const std::uint8_t* data_;
+  std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+/// The payload of kind T inside *payload, reusing the held one (and its
+/// vector capacity) when it already is a T.
+template <typename T>
+T& ReusePayload(Payload* payload) {
+  if (T* held = std::get_if<T>(payload)) return *held;
+  return payload->emplace<T>();
+}
+
+/// Reads `count` (subtask id, latency) pairs into the parallel arrays.
+bool ReadLatencyPairs(Reader* r, std::uint32_t count,
+                      std::vector<SubtaskId>* subtasks,
+                      std::vector<double>* latencies) {
+  // Bound the count by the bytes present before sizing anything.
+  if (count > r->Remaining() / 12) return false;
+  subtasks->resize(count);
+  latencies->resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t subtask = 0;
+    if (!r->U32(&subtask) || !r->F64(&(*latencies)[i])) return false;
+    (*subtasks)[i] = SubtaskId(subtask);
+  }
+  return true;
+}
+
+void WriteLatencyPairs(Writer* w, const std::vector<SubtaskId>& subtasks,
+                       const std::vector<double>& latencies) {
+  if (subtasks.size() != latencies.size()) {
+    EncodeFault("subtasks and latencies_ms differ in length");
+  }
+  w->U32(static_cast<std::uint32_t>(subtasks.size()));
+  for (std::size_t i = 0; i < subtasks.size(); ++i) {
+    w->U32(subtasks[i].value());
+    w->F64(latencies[i]);
+  }
+}
 
 void AppendPackedBitset(const std::uint8_t* bits01, std::size_t count,
                         std::string* arena) {
@@ -95,8 +156,21 @@ void AppendPackedBitset(const std::uint8_t* bits01, std::size_t count,
 }  // namespace
 
 WireSlice WireSlice::Copy(const char* data, std::size_t size) {
-  auto arena = std::make_shared<const std::string>(data, size);
-  return WireSlice(std::move(arena), 0, static_cast<std::uint32_t>(size));
+  WireSlice slice(std::make_shared<std::string>(data, size), 0,
+                  static_cast<std::uint32_t>(size));
+  slice.owns_copy_ = true;
+  return slice;
+}
+
+void WireSlice::Assign(const char* data, std::size_t size) {
+  if (!owns_copy_ || arena_.use_count() != 1) {
+    *this = Copy(data, size);
+    return;
+  }
+  // The arena is a non-const string this slice allocated and alone owns.
+  const_cast<std::string*>(arena_.get())->assign(data, size);
+  offset_ = 0;
+  length_ = static_cast<std::uint32_t>(size);
 }
 
 ArenaSpan AppendShardLatencyPayload(const double* latencies,
@@ -179,20 +253,16 @@ bool DecodeShardPriceUpdate(const ShardPriceUpdate& update,
   return true;
 }
 
-std::vector<std::uint8_t> Serialize(const Message& message) {
-  std::vector<std::uint8_t> bytes;
-  Writer w(&bytes);
+void Serialize(const Message& message, std::vector<std::uint8_t>* out) {
+  out->resize(WireSize(message));
+  Writer w(out->data(), out->size());
   w.U32(message.sender);
   w.U32(message.receiver);
   w.U32(message.incarnation);
   if (const auto* latency = std::get_if<LatencyUpdate>(&message.payload)) {
     w.U8(kTagLatencyUpdate);
     w.U32(latency->task.value());
-    w.U32(static_cast<std::uint32_t>(latency->subtasks.size()));
-    for (std::size_t i = 0; i < latency->subtasks.size(); ++i) {
-      w.U32(latency->subtasks[i].value());
-      w.F64(latency->latencies_ms[i]);
-    }
+    WriteLatencyPairs(&w, latency->subtasks, latency->latencies_ms);
   } else if (const auto* price =
                  std::get_if<ResourcePriceUpdate>(&message.payload)) {
     w.U8(kTagResourcePriceUpdate);
@@ -210,18 +280,14 @@ std::vector<std::uint8_t> Serialize(const Message& message) {
     w.U32(shard_latency->task.value());
     w.U32(shard_latency->shard);
     w.U32(shard_latency->count);
-    if (!shard_latency->payload.empty()) {
-      w.Bytes(shard_latency->payload.data(), shard_latency->payload.size());
-    }
+    w.Bytes(shard_latency->payload.data(), shard_latency->payload.size());
   } else if (const auto* shard_price =
                  std::get_if<ShardPriceUpdate>(&message.payload)) {
     w.U8(kTagShardPriceUpdate);
     w.U32(shard_price->shard);
     w.U32(shard_price->epoch);
     w.U32(shard_price->count);
-    if (!shard_price->payload.empty()) {
-      w.Bytes(shard_price->payload.data(), shard_price->payload.size());
-    }
+    w.Bytes(shard_price->payload.data(), shard_price->payload.size());
   } else {
     const auto& repair = std::get<RepairResponse>(message.payload);
     w.U8(kTagRepairResponse);
@@ -230,112 +296,111 @@ std::vector<std::uint8_t> Serialize(const Message& message) {
     w.F64(repair.mu);
     w.U32(repair.epoch);
     w.U8(repair.congested ? 1 : 0);
-    w.U32(static_cast<std::uint32_t>(repair.subtasks.size()));
-    for (std::size_t i = 0; i < repair.subtasks.size(); ++i) {
-      w.U32(repair.subtasks[i].value());
-      w.F64(repair.latencies_ms[i]);
-    }
+    WriteLatencyPairs(&w, repair.subtasks, repair.latencies_ms);
   }
+  if (!w.AtEnd()) EncodeFault("encoding ends before WireSize(message)");
+}
+
+std::vector<std::uint8_t> Serialize(const Message& message) {
+  std::vector<std::uint8_t> bytes;
+  Serialize(message, &bytes);
   return bytes;
 }
 
-std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  Message message;
+bool Deserialize(const std::uint8_t* data, std::size_t size, Message* out,
+                 std::vector<double>* scratch) {
+  Reader r(data, size);
   std::uint8_t tag = 0;
-  if (!r.U32(&message.sender) || !r.U32(&message.receiver) ||
-      !r.U32(&message.incarnation) || !r.U8(&tag)) {
-    return std::nullopt;
+  if (!r.U32(&out->sender) || !r.U32(&out->receiver) ||
+      !r.U32(&out->incarnation) || !r.U8(&tag)) {
+    return false;
   }
   if (tag == kTagLatencyUpdate) {
-    LatencyUpdate update;
+    auto& update = ReusePayload<LatencyUpdate>(&out->payload);
     std::uint32_t task = 0, count = 0;
-    if (!r.U32(&task) || !r.U32(&count)) return std::nullopt;
-    update.task = TaskId(task);
-    update.subtasks.reserve(count);
-    update.latencies_ms.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t subtask = 0;
-      double latency = 0.0;
-      if (!r.U32(&subtask) || !r.F64(&latency)) return std::nullopt;
-      update.subtasks.push_back(SubtaskId(subtask));
-      update.latencies_ms.push_back(latency);
+    if (!r.U32(&task) || !r.U32(&count) ||
+        !ReadLatencyPairs(&r, count, &update.subtasks,
+                          &update.latencies_ms)) {
+      return false;
     }
-    message.payload = std::move(update);
+    update.task = TaskId(task);
   } else if (tag == kTagResourcePriceUpdate) {
-    ResourcePriceUpdate update;
+    auto& update = ReusePayload<ResourcePriceUpdate>(&out->payload);
     std::uint32_t resource = 0;
     std::uint8_t congested = 0;
     if (!r.U32(&resource) || !r.F64(&update.mu) || !r.U32(&update.epoch) ||
         !r.U8(&congested) || congested > 1) {
-      return std::nullopt;
+      return false;
     }
     update.resource = ResourceId(resource);
     update.congested = congested != 0;
-    message.payload = std::move(update);
   } else if (tag == kTagRepairRequest) {
-    RepairRequest request;
+    auto& request = ReusePayload<RepairRequest>(&out->payload);
     std::uint32_t resource = 0;
-    if (!r.U32(&resource)) return std::nullopt;
+    if (!r.U32(&resource)) return false;
     request.resource = ResourceId(resource);
-    message.payload = std::move(request);
   } else if (tag == kTagRepairResponse) {
-    RepairResponse repair;
+    auto& repair = ReusePayload<RepairResponse>(&out->payload);
     std::uint32_t resource = 0, task = 0, count = 0;
     std::uint8_t congested = 0;
     if (!r.U32(&resource) || !r.U32(&task) || !r.F64(&repair.mu) ||
         !r.U32(&repair.epoch) || !r.U8(&congested) || congested > 1 ||
-        !r.U32(&count)) {
-      return std::nullopt;
+        !r.U32(&count) ||
+        !ReadLatencyPairs(&r, count, &repair.subtasks,
+                          &repair.latencies_ms)) {
+      return false;
     }
     repair.resource = ResourceId(resource);
     repair.task = TaskId(task);
     repair.congested = congested != 0;
-    repair.subtasks.reserve(count);
-    repair.latencies_ms.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t subtask = 0;
-      double latency = 0.0;
-      if (!r.U32(&subtask) || !r.F64(&latency)) return std::nullopt;
-      repair.subtasks.push_back(SubtaskId(subtask));
-      repair.latencies_ms.push_back(latency);
-    }
-    message.payload = std::move(repair);
   } else if (tag == kTagShardLatencyUpdate) {
-    ShardLatencyUpdate update;
+    auto& update = ReusePayload<ShardLatencyUpdate>(&out->payload);
     std::uint32_t task = 0;
     if (!r.U32(&task) || !r.U32(&update.shard) || !r.U32(&update.count)) {
-      return std::nullopt;
+      return false;
     }
     update.task = TaskId(task);
     // The payload runs to the end of the message; validate it fully (a
     // structurally-broken payload must be rejected here, not at apply time).
     const std::size_t remaining = r.Remaining();
-    update.payload = WireSlice::Copy(r.Here(), remaining);
-    std::vector<double> scratch;
-    if (!DecodeShardLatencyUpdate(update, &scratch)) return std::nullopt;
+    update.payload.Assign(r.Here(), remaining);
+    if (!DecodeShardLatencyUpdate(update, scratch)) return false;
     r.Skip(remaining);
-    message.payload = std::move(update);
   } else if (tag == kTagShardPriceUpdate) {
-    ShardPriceUpdate update;
+    auto& update = ReusePayload<ShardPriceUpdate>(&out->payload);
     if (!r.U32(&update.shard) || !r.U32(&update.epoch) ||
         !r.U32(&update.count)) {
-      return std::nullopt;
+      return false;
     }
     const std::size_t remaining = r.Remaining();
-    update.payload = WireSlice::Copy(r.Here(), remaining);
-    std::vector<double> scratch;
+    update.payload.Assign(r.Here(), remaining);
     ShardPriceBitsets bits;
-    if (!DecodeShardPriceUpdate(update, &scratch, &bits)) {
-      return std::nullopt;
-    }
+    if (!DecodeShardPriceUpdate(update, scratch, &bits)) return false;
     r.Skip(remaining);
-    message.payload = std::move(update);
   } else {
+    return false;
+  }
+  return r.AtEnd();  // trailing garbage fails
+}
+
+std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
+  Message message;
+  std::vector<double> scratch;
+  if (!Deserialize(bytes.data(), bytes.size(), &message, &scratch)) {
     return std::nullopt;
   }
-  if (!r.AtEnd()) return std::nullopt;  // trailing garbage
   return message;
+}
+
+bool WireRoundTrips(const Message& message, WireCheckScratch* scratch) {
+  Serialize(message, &scratch->encoded);
+  Message& decoded = scratch->decoded[message.payload.index()];
+  if (!Deserialize(scratch->encoded.data(), scratch->encoded.size(),
+                   &decoded, &scratch->values)) {
+    return false;
+  }
+  Serialize(decoded, &scratch->reencoded);
+  return scratch->reencoded == scratch->encoded;
 }
 
 std::size_t WireSize(const Message& message) {

@@ -29,9 +29,11 @@
 // restarted endpoint bumps its incarnation, which lets receivers discard
 // price messages that were in flight (or queued by stale epochs) from
 // before the crash.  Messages are serialized to a binary wire format so the
-// bus can account for bytes and tests can verify round-tripping.
+// bus can account for bytes and check every delivery's encoding
+// (WireRoundTrips).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -59,6 +61,12 @@ class WireSlice {
   /// A slice backed by a fresh arena holding a copy of [data, data + size).
   static WireSlice Copy(const char* data, std::size_t size);
 
+  /// Makes this slice a copy of [data, data + size) like Copy, but rewrites
+  /// the arena in place when this slice made it (Copy/Assign) and is its
+  /// only owner, so a decoder that reuses one Message does not allocate.
+  /// The slice must not be shared with another thread while it is reused.
+  void Assign(const char* data, std::size_t size);
+
   const char* data() const {
     return arena_ == nullptr ? nullptr : arena_->data() + offset_;
   }
@@ -75,6 +83,9 @@ class WireSlice {
   std::shared_ptr<const std::string> arena_;
   std::uint32_t offset_ = 0;
   std::uint32_t length_ = 0;
+  /// True when arena_ was allocated by Copy/Assign as a mutable string
+  /// (arenas handed to the constructor may be const objects).
+  bool owns_copy_ = false;
 };
 
 struct LatencyUpdate {
@@ -224,11 +235,39 @@ inline bool TestWireBit(const char* bits, std::size_t i) {
   return ((static_cast<unsigned char>(bits[i >> 3]) >> (i & 7)) & 1u) != 0;
 }
 
-/// Serializes to a compact binary representation (little-endian).
+/// Serializes to a compact binary representation (little-endian) into
+/// *out, resized to exactly WireSize(message) and reusing its capacity.
+/// Aborts (every build type) on LatencyUpdate / RepairResponse parallel
+/// arrays of unequal length, and if the encoder does not end exactly at
+/// WireSize(message).
+void Serialize(const Message& message, std::vector<std::uint8_t>* out);
 std::vector<std::uint8_t> Serialize(const Message& message);
 
-/// Inverse of Serialize; nullopt on malformed input (truncation, bad tag).
+/// Inverse of Serialize: decodes [data, data + size) into *out, reusing the
+/// vectors / arena of its payload when it already holds the same kind.
+/// Shard payloads are decoded into *scratch to validate them.  False on
+/// malformed input (truncation, bad tag, undecodable shard payload,
+/// trailing bytes); *out is then unspecified.
+bool Deserialize(const std::uint8_t* data, std::size_t size, Message* out,
+                 std::vector<double>* scratch);
+/// Allocating form; nullopt on malformed input.
 std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes);
+
+/// Buffers reused by WireRoundTrips.  One decode target per payload kind,
+/// so traffic that alternates kinds keeps each kind's capacity.
+struct WireCheckScratch {
+  std::vector<std::uint8_t> encoded;
+  std::vector<std::uint8_t> reencoded;
+  std::array<Message, std::variant_size_v<Payload>> decoded;
+  std::vector<double> values;
+};
+
+/// The bus's wire self-check: encodes `message`, decodes the bytes,
+/// re-encodes the result and compares the two encodings byte for byte
+/// (NaN-safe, and -0.0 differs from 0.0).  False when the decode fails or
+/// the bytes differ.  Allocation-free once *scratch has seen a message of
+/// the same kind and at least the same size.
+bool WireRoundTrips(const Message& message, WireCheckScratch* scratch);
 
 /// Number of bytes Serialize would produce (used for traffic accounting).
 std::size_t WireSize(const Message& message);

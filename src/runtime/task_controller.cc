@@ -188,7 +188,10 @@ void TaskController::Crash() { crashed_ = true; }
 void TaskController::ColdRestart() {
   crashed_ = false;
   std::fill(mu_cache_.begin(), mu_cache_.end(), 0.0);
-  std::fill(local_latencies_.begin(), local_latencies_.end(), 0.0);
+  const TaskInfo& info = workload_->task(task_);
+  for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
+    local_latencies_[i] = shared_->solver.LatHi(info.subtasks[i]);
+  }
   std::fill(local_lambdas_.begin(), local_lambdas_.end(), 0.0);
   std::fill(path_gamma_multiplier_.begin(), path_gamma_multiplier_.end(),
             1.0);

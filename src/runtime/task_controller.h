@@ -104,7 +104,10 @@ class TaskController {
   void Crash();
   /// Rejoins with total state loss; the next resource broadcasts repopulate
   /// the price cache within one period (controllers need no repair exchange
-  /// — resources re-send their state unprompted every tick).
+  /// — resources re-send their state unprompted every tick).  Latencies
+  /// restart at the solver's upper bound, the allocation at the all-zero
+  /// prices the controller restarts with, so an observer sampling before
+  /// the next allocation never sees a latency outside the share domain.
   void ColdRestart();
   void RestoreFromSnapshot(const TaskControllerSnapshot& snapshot);
   TaskControllerSnapshot Snapshot() const;

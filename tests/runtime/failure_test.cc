@@ -333,6 +333,36 @@ TEST(CrashRestartTest, ColdControllerRestartReconverges) {
   EXPECT_EQ(CounterValue(&metrics, "recovery.restarts"), 1u);
 }
 
+// A cold controller restart must never expose an out-of-domain latency: the
+// monitor samples between the restart and the controller's next allocation
+// read its latencies, and a latency of 0 made the share W/0 infinite (and
+// tripped the share domain assert in Debug builds).
+TEST(CrashRestartTest, ColdControllerRestartKeepsMonitorSamplesFinite) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  obs::MetricRegistry metrics;
+  Coordinator coordinator(w, model, RecoveryConfig(&metrics));
+  coordinator.RunAsync(2500.0);
+  coordinator.CrashEndpoint(TaskId(1u));
+  coordinator.RunAsync(25.0);
+  const std::size_t restart_sample = coordinator.history().size();
+  coordinator.RestartEndpoint(TaskId(1u));
+  for (const double latency : coordinator.controller(TaskId(1u)).latencies()) {
+    EXPECT_GT(latency, 0.0);
+  }
+  coordinator.RunAsync(2500.0);
+  const auto& history = coordinator.history();
+  ASSERT_GT(history.size(), restart_sample);
+  for (std::size_t i = restart_sample; i < history.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(history[i].total_utility)) << "sample " << i;
+    EXPECT_TRUE(std::isfinite(history[i].max_resource_excess))
+        << "sample " << i;
+    EXPECT_TRUE(std::isfinite(history[i].max_path_ratio)) << "sample " << i;
+  }
+}
+
 // Sharded per-resource fault injection (DESIGN.md §7.10-7.11): crashing a
 // resource inside a ShardAgent freezes only that resource — the shard's
 // endpoint stays up, its other resources keep exchanging batched messages —

@@ -191,5 +191,70 @@ TEST(ShardedCoordinator, PaperWorkloadMatchesEngineWithinDocumentedBound) {
   EXPECT_NEAR(shard_run.final_utility, engine_run.final_utility, bound);
 }
 
+// The bus's wire self-check is live in every build type, this NDEBUG one
+// included: a ShardPriceUpdate whose payload does not decode for its count
+// aborts delivery with the check on.  With the check off the message is
+// delivered, and the controller's decode check ignores it — its cached
+// prices keep their values.
+TEST(ShardedCoordinator, UndecodableShardPricesFailWireCheckOrAreIgnored) {
+  auto workload = MakeRandomWorkload(DenseConfig());
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  const TaskId task(0u);
+
+  // Task 0's used resources on shard 0 (which owns resources [0, 4) of
+  // 16): the count its controller expects from that shard.
+  std::set<std::uint32_t> used;
+  for (const SubtaskId sid : w.task(task).subtasks) {
+    const std::uint32_t r = w.subtask(sid).resource.value();
+    if (r < w.resource_count() / 4) used.insert(r);
+  }
+  ASSERT_GE(used.size(), 2u);
+  const auto count = static_cast<std::uint32_t>(used.size());
+  // Encode one entry too few: the count matches, the payload does not.
+  std::vector<double> mu(count - 1);
+  for (std::size_t j = 0; j < mu.size(); ++j) mu[j] = 1e6 + j;
+  const std::vector<std::uint8_t> congested(count - 1, 1);
+  std::string arena;
+  const net::ArenaSpan span = net::AppendShardPricePayload(
+      mu.data(), congested.data(), nullptr, mu.size(), &arena);
+  net::Message bad;
+  bad.receiver = 0;  // controllers register first, in task order
+  bad.sender = static_cast<net::EndpointId>(w.task_count());  // shard 0
+  bad.payload = net::ShardPriceUpdate{
+      0, 1u << 20, count,
+      net::WireSlice::Copy(arena.data() + span.offset, span.length)};
+
+  CoordinatorConfig checked = ShardedConfig(4);
+  ASSERT_TRUE(checked.bus.verify_wire_format);
+  Coordinator live(w, model, checked);
+  live.RunSync(5);
+  EXPECT_DEATH(
+      {
+        live.bus().Send(bad);
+        live.bus().RunAll();
+      },
+      "wire self-check failed");
+
+  CoordinatorConfig unchecked = ShardedConfig(4);
+  unchecked.bus.verify_wire_format = false;
+  Coordinator coordinator(w, model, unchecked);
+  coordinator.RunSync(5);
+  std::vector<double> before;
+  for (const std::uint32_t r : used) {
+    before.push_back(coordinator.controller(task).mu_seen(ResourceId(r)));
+  }
+  const std::uint64_t delivered = coordinator.bus().stats().delivered;
+  coordinator.bus().Send(bad);
+  coordinator.bus().RunAll();
+  EXPECT_EQ(coordinator.bus().stats().delivered, delivered + 1);
+  std::size_t k = 0;
+  for (const std::uint32_t r : used) {
+    EXPECT_EQ(coordinator.controller(task).mu_seen(ResourceId(r)), before[k++])
+        << "resource " << r;
+  }
+}
+
 }  // namespace
 }  // namespace lla::runtime
