@@ -299,6 +299,7 @@ void InProcessBus::DispatchWaveParallel(double at_ms,
     Event& event = slots_[key.slot];
     if (IsBlackedOut(event.endpoint)) {
       CountDrop(event.message);
+      event.message = Message{};
       free_slots_.push_back(key.slot);
       continue;
     }
@@ -337,7 +338,7 @@ void InProcessBus::DispatchWaveParallel(double at_ms,
     for (std::size_t g = begin; g < end; ++g) {
       Endpoint& endpoint = endpoints_[wave_groups_[g].endpoint];
       for (const std::size_t slot : wave_groups_[g].slots) {
-        const Event& event = slots_[slot];
+        Event& event = slots_[slot];
         ++delivered;
         if (endpoint.delivered != nullptr) endpoint.delivered->Increment();
         if (config_.verify_wire_format) {
@@ -345,6 +346,10 @@ void InProcessBus::DispatchWaveParallel(double at_ms,
                      &lane_wire_[static_cast<std::size_t>(index)]);
         }
         if (endpoint.on_message) endpoint.on_message(event.message);
+        // Release the payload now, as serial delivery does: a recycled
+        // slot must not keep the sender's wire arena referenced, or the
+        // sender could never reuse it (DESIGN.md §7.14).
+        event.message = Message{};
       }
     }
     lane_delivered_[static_cast<std::size_t>(index)] = delivered;

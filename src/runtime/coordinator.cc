@@ -358,6 +358,11 @@ RunResult Coordinator::RunSync(int max_rounds) {
 void Coordinator::ArmAsyncTimers() {
   if (async_armed_) return;
   async_armed_ = true;
+  // The monitor's first sample can precede a controller's first allocation
+  // (controllers are phased up to T * phase_spread_ms in), so seed every
+  // controller that has not allocated yet at the solver's upper bound:
+  // the sample then reads a latency inside the share domain.
+  for (auto& controller : controllers_) controller->SeedUnallocatedLatencies();
   // Controllers fire first (they own the initial latencies), staggered so no
   // two agents act at the same instant.
   double phase = 0.0;

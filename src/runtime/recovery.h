@@ -59,7 +59,10 @@ struct TaskControllerSnapshot {
   std::vector<double> local_latencies;
   std::vector<double> local_lambdas;
   std::vector<double> path_gamma_multiplier;
-  /// Full-size per-resource caches (only used resources are ever non-zero).
+  /// The price cache, O(own task): entry k is the cached view of
+  /// resources[k], one entry per resource the task uses, ascending.  A
+  /// restore matches entries by resource id.
+  std::vector<ResourceId> resources;
   std::vector<double> mu;
   std::vector<std::uint8_t> resource_congested;
   std::vector<std::uint32_t> resource_epoch;

@@ -37,24 +37,32 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
     latency_offset_.push_back(latencies_.size());
   }
   client_tasks_.reserve(clients.size());
-  client_resources_.reserve(clients.size());
-  client_latency_slots_.reserve(clients.size());
+  client_resource_offset_.reserve(clients.size() + 1);
+  client_resource_offset_.push_back(0);
+  client_slot_offset_.reserve(clients.size() + 1);
+  client_slot_offset_.push_back(0);
+  client_latency_slots_.reserve(latencies_.size());
   resource_clients_.assign(count, {});
   for (const auto& [task, locals] : clients) {
     const auto c = static_cast<std::uint32_t>(client_tasks_.size());
     client_tasks_.push_back(task);
-    client_resources_.emplace_back(locals.begin(), locals.end());
-    for (const std::uint32_t local : client_resources_.back()) {
+    for (const std::uint32_t local : locals) {
+      client_resources_.push_back(local);
       resource_clients_[local].push_back(c);
     }
+    client_resource_offset_.push_back(
+        static_cast<std::uint32_t>(client_resources_.size()));
     // The positional latency list: the client's subtasks hosted here, in
     // the client's local subtask order — exactly the order the controller's
-    // shard_subtasks_ gather emits.
-    auto& slots = client_latency_slots_.emplace_back();
+    // send plan (ControllerShared::send_subtasks) gathers.
     for (SubtaskId sid : workload.task(task).subtasks) {
       const auto it = subtask_slot_.find(sid.value());
-      if (it != subtask_slot_.end()) slots.push_back(it->second);
+      if (it != subtask_slot_.end()) {
+        client_latency_slots_.push_back(static_cast<std::uint32_t>(it->second));
+      }
     }
+    client_slot_offset_.push_back(
+        static_cast<std::uint32_t>(client_latency_slots_.size()));
   }
   mu_.assign(count, 0.0);
   gamma_multiplier_.assign(count, 1.0);
@@ -125,30 +133,32 @@ void ShardAgent::DropClientMomentum(TaskId task) {
   if (config_.dynamics.kind == DynamicsKind::kPlain) return;
   const int c = ClientIndex(task);
   if (c < 0) return;
-  for (const std::uint32_t local :
-       client_resources_[static_cast<std::size_t>(c)]) {
-    velocity_[local] = 0.0;
-    dynamics_phase_[local] = 0.0;
+  for (std::uint32_t j = client_resource_offset_[c];
+       j < client_resource_offset_[c + 1]; ++j) {
+    velocity_[client_resources_[j]] = 0.0;
+    dynamics_phase_[client_resources_[j]] = 0.0;
   }
 }
 
 void ShardAgent::ApplyLatencyUpdate(const net::ShardLatencyUpdate& update) {
   const int c = ClientIndex(update.task);
   if (c < 0) return;  // not a client here; ignore
-  const std::vector<std::size_t>& slots =
-      client_latency_slots_[static_cast<std::size_t>(c)];
+  const std::uint32_t* slots =
+      client_latency_slots_.data() + client_slot_offset_[c];
+  const std::size_t count =
+      client_slot_offset_[c + 1] - client_slot_offset_[c];
   // The positional contract: the sender's entry list is derived from the
   // same static membership, so the counts must agree; a mismatch means a
   // stale or foreign binding and the whole message is ignored.
-  if (update.count != slots.size()) return;
+  if (update.count != count) return;
   if (!net::DecodeShardLatencyUpdate(update, &decode_scratch_)) return;
   if (!any_resource_faulted_) {
-    for (std::size_t j = 0; j < slots.size(); ++j) {
+    for (std::size_t j = 0; j < count; ++j) {
       latencies_[slots[j]] = decode_scratch_[j];
     }
     return;
   }
-  for (std::size_t j = 0; j < slots.size(); ++j) {
+  for (std::size_t j = 0; j < count; ++j) {
     // A crashed resource's state is frozen until its restart (the
     // per-resource analogue of the crashed agent ignoring messages).
     if (resource_crashed_[slot_resource_[slots[j]]] != 0) continue;
@@ -329,21 +339,31 @@ void ShardAgent::ComputePricesAndBroadcast(
   // the round's byte volume by shard_width / task_resources_per_shard on
   // sparse workloads).  All clients' payloads are encoded into one arena,
   // then sliced per message — encode once, slice per client.
-  std::string arena;
-  arena.reserve(client_tasks_.size() * 2 + latencies_.size() * 8);
+  // The arena is reused once every message of the previous broadcast is
+  // gone (the WireSlice::Assign rule); it keeps its capacity, so steady
+  // state allocates nothing.
+  if (price_arena_ == nullptr || price_arena_.use_count() != 1) {
+    price_arena_ = std::make_shared<std::string>();
+  } else {
+    price_arena_->clear();
+  }
+  price_arena_->reserve(client_tasks_.size() * 2 + latencies_.size() * 8);
   client_spans_.resize(client_tasks_.size());
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
-    const std::vector<std::uint32_t>& locals = client_resources_[c];
-    gather_mu_.resize(locals.size());
-    gather_congested_.resize(locals.size());
+    const std::uint32_t* locals =
+        client_resources_.data() + client_resource_offset_[c];
+    const std::size_t count =
+        client_resource_offset_[c + 1] - client_resource_offset_[c];
+    gather_mu_.resize(count);
+    gather_congested_.resize(count);
     const std::uint8_t* stale = nullptr;
-    for (std::size_t j = 0; j < locals.size(); ++j) {
+    for (std::size_t j = 0; j < count; ++j) {
       gather_mu_[j] = mu_[locals[j]];
       gather_congested_[j] = congested_[locals[j]];
     }
     if (any_resource_faulted_) {
-      gather_stale_.resize(locals.size());
-      for (std::size_t j = 0; j < locals.size(); ++j) {
+      gather_stale_.resize(count);
+      for (std::size_t j = 0; j < count; ++j) {
         const std::uint32_t i = locals[j];
         gather_stale_[j] =
             (resource_crashed_[i] != 0 || awaiting_repair_[i] != 0) ? 1 : 0;
@@ -351,17 +371,17 @@ void ShardAgent::ComputePricesAndBroadcast(
       stale = gather_stale_.data();
     }
     client_spans_[c] = net::AppendShardPricePayload(
-        gather_mu_.data(), gather_congested_.data(), stale, locals.size(),
-        &arena);
+        gather_mu_.data(), gather_congested_.data(), stale, count,
+        price_arena_.get());
   }
-  const auto shared_arena =
-      std::make_shared<const std::string>(std::move(arena));
+  const std::shared_ptr<const std::string> arena = price_arena_;
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
     net::ShardPriceUpdate update;
     update.shard = shard_;
     update.epoch = epoch_;
-    update.count = static_cast<std::uint32_t>(client_resources_[c].size());
-    update.payload = net::WireSlice(shared_arena, client_spans_[c].offset,
+    update.count =
+        client_resource_offset_[c + 1] - client_resource_offset_[c];
+    update.payload = net::WireSlice(arena, client_spans_[c].offset,
                                     client_spans_[c].length);
     net::Message message;
     message.sender = self_;

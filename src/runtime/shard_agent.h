@@ -16,7 +16,8 @@
 // of each client — latency slots for inbound updates, used resources for
 // outbound prices — and the wire carries only b1-encoded value arrays.
 // All clients' price payloads are encoded into ONE arena per round and each
-// message holds a WireSlice into it (encode once, slice per client).
+// message holds a WireSlice into it (encode once, slice per client); the
+// arena is reused across rounds once no message references it.
 //
 // Per-resource fault injection: a single resource inside the shard can be
 // crashed and cold-restarted (the shard's endpoint stays up — the failing
@@ -29,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -121,14 +123,19 @@ class ShardAgent {
   const std::vector<net::EndpointId>* controller_endpoints_ = nullptr;
   std::vector<ResourceId> resources_;
   std::vector<TaskId> client_tasks_;  ///< tasks with subtasks here, sorted
-  /// client_resources_[c] = sorted local indices of the resources
-  /// client_tasks_[c] uses here; its per-round price update carries exactly
-  /// these, positionally (the controller derives the same ascending list).
-  std::vector<std::vector<std::uint32_t>> client_resources_;
-  /// client_latency_slots_[c] = flat latency slot of each entry of client
-  /// c's ShardLatencyUpdate, in the client's local subtask order (the same
-  /// order the controller's shard_subtasks_ list emits).
-  std::vector<std::vector<std::size_t>> client_latency_slots_;
+  /// Client c's entry lists in CSR form (compressed sparse rows over
+  /// client_tasks_ order).  client_resources_[client_resource_offset_[c] ..
+  /// client_resource_offset_[c + 1]) = sorted local indices of the
+  /// resources client c uses here; its per-round price update carries
+  /// exactly these, positionally (the controller derives the same ascending
+  /// list).  client_latency_slots_[client_slot_offset_[c] ..
+  /// client_slot_offset_[c + 1]) = flat latency slot of each entry of
+  /// client c's ShardLatencyUpdate, in the client's local subtask order (the
+  /// same order the controller's send plan gathers).
+  std::vector<std::uint32_t> client_resource_offset_;
+  std::vector<std::uint32_t> client_resources_;
+  std::vector<std::uint32_t> client_slot_offset_;
+  std::vector<std::uint32_t> client_latency_slots_;
   /// clients of each resource, as indices into client_tasks_ (repair).
   std::vector<std::vector<std::uint32_t>> resource_clients_;
 
@@ -177,6 +184,9 @@ class ShardAgent {
   /// keeps the fault bookkeeping off the fault-free broadcast fast path.
   bool any_resource_faulted_ = false;
 
+  /// The price arena, kept across rounds and rewritten in place while no
+  /// message in flight still references it (DESIGN.md §7.14).
+  std::shared_ptr<std::string> price_arena_;
   /// Reused encode/decode scratch (per-client gathers + payload decode).
   std::vector<double> gather_mu_;
   std::vector<std::uint8_t> gather_congested_;

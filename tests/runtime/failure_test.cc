@@ -7,6 +7,7 @@
 // or a snapshot (checkpoint restart).
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -438,6 +439,129 @@ TEST(CrashRestartTest, ShardedColdRestartOfOneResourceReconverges) {
   EXPECT_EQ(std::count(events.types.begin(), events.types.end(),
                        "recovery.restart"),
             1);
+}
+
+// Async start: the monitor's first sample (at monitor_period_ms = 10)
+// precedes the first allocation of every controller phased at 10 ms or
+// later.  Their latencies must already sit inside the share domain — a
+// placeholder 0 made the share W/0 infinite (and tripped the share domain
+// assert in Debug builds).
+TEST(AsyncStartTest, SamplesBeforeFirstAllocationAreFinite) {
+  RandomWorkloadConfig config;
+  config.num_tasks = 16;
+  auto workload = MakeRandomWorkload(config);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  Coordinator coordinator(w, model, CoordinatorConfig{});
+  coordinator.RunAsync(12.0);
+  const auto& history = coordinator.history();
+  ASSERT_FALSE(history.empty());
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(history[i].total_utility)) << "sample " << i;
+    EXPECT_TRUE(std::isfinite(history[i].max_resource_excess))
+        << "sample " << i;
+    EXPECT_TRUE(std::isfinite(history[i].max_path_ratio)) << "sample " << i;
+  }
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool SameSnapshot(const TaskControllerSnapshot& a,
+                  const TaskControllerSnapshot& b) {
+  return a.task == b.task && SameBits(a.local_latencies, b.local_latencies) &&
+         SameBits(a.local_lambdas, b.local_lambdas) &&
+         SameBits(a.path_gamma_multiplier, b.path_gamma_multiplier) &&
+         a.resources == b.resources && SameBits(a.mu, b.mu) &&
+         a.resource_congested == b.resource_congested &&
+         a.resource_epoch == b.resource_epoch;
+}
+
+// A controller snapshot is O(own task): one price-cache entry per resource
+// the task uses, whatever the workload's resource count.
+TEST(ControllerSnapshotTest, SizeDoesNotDependOnResourceCount) {
+  for (const int resources : {8, 512}) {
+    RandomWorkloadConfig config;
+    config.num_resources = resources;
+    config.num_tasks = 12;
+    auto workload = MakeRandomWorkload(config);
+    ASSERT_TRUE(workload.ok()) << workload.error();
+    const Workload& w = workload.value();
+    LatencyModel model(w);
+    CoordinatorConfig coordinator_config;
+    coordinator_config.bus.base_delay_ms = 0.0;
+    Coordinator coordinator(w, model, coordinator_config);
+    coordinator.RunSync(20);
+    for (const TaskInfo& task : w.tasks()) {
+      std::vector<ResourceId> used;
+      for (SubtaskId sid : task.subtasks) {
+        used.push_back(w.subtask(sid).resource);
+      }
+      std::sort(used.begin(), used.end());
+      used.erase(std::unique(used.begin(), used.end()), used.end());
+      const TaskControllerSnapshot snapshot =
+          coordinator.CheckpointController(task.id);
+      EXPECT_EQ(snapshot.resources, used) << "R=" << resources;
+      EXPECT_EQ(snapshot.mu.size(), used.size());
+      EXPECT_EQ(snapshot.resource_congested.size(), used.size());
+      EXPECT_EQ(snapshot.resource_epoch.size(), used.size());
+      EXPECT_LE(snapshot.mu.size(), task.subtasks.size());
+      for (std::size_t k = 0; k < used.size(); ++k) {
+        EXPECT_EQ(snapshot.mu[k],
+                  coordinator.controller(task.id).mu_seen(used[k]));
+      }
+    }
+  }
+}
+
+// Checkpoint -> restore of every controller mid-run is invisible: the
+// restored snapshot reads back bit-identical, and the run continues on
+// the bit-identical trajectory of an uninterrupted twin (sharded and
+// unsharded).
+TEST(ControllerSnapshotTest, CheckpointRestoreIsBitIdentical) {
+  RandomWorkloadConfig config;
+  config.num_resources = 12;
+  config.num_tasks = 10;
+  auto workload = MakeRandomWorkload(config);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  for (const int shards : {0, 3}) {
+    CoordinatorConfig coordinator_config;
+    coordinator_config.bus.base_delay_ms = 0.0;
+    coordinator_config.num_shards = shards;
+    Coordinator reference(w, model, coordinator_config);
+    Coordinator restored(w, model, coordinator_config);
+    for (int round = 0; round < 15; ++round) {
+      reference.RunSyncRound();
+      restored.RunSyncRound();
+    }
+    for (const TaskInfo& task : w.tasks()) {
+      const TaskControllerSnapshot snapshot =
+          restored.CheckpointController(task.id);
+      restored.RestartEndpoint(task.id, snapshot);
+      EXPECT_TRUE(SameSnapshot(restored.CheckpointController(task.id),
+                               snapshot))
+          << "shards=" << shards << " task " << task.id.value();
+    }
+    for (int round = 0; round < 15; ++round) {
+      reference.RunSyncRound();
+      restored.RunSyncRound();
+    }
+    EXPECT_TRUE(SameBits(reference.CurrentAssignment(),
+                         restored.CurrentAssignment()))
+        << "shards=" << shards;
+    EXPECT_TRUE(SameBits(reference.CurrentPrices().mu,
+                         restored.CurrentPrices().mu))
+        << "shards=" << shards;
+    EXPECT_TRUE(SameBits(reference.CurrentPrices().lambda,
+                         restored.CurrentPrices().lambda))
+        << "shards=" << shards;
+  }
 }
 
 }  // namespace

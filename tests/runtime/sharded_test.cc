@@ -256,5 +256,36 @@ TEST(ShardedCoordinator, UndecodableShardPricesFailWireCheckOrAreIgnored) {
   }
 }
 
+// The positional price protocol decodes a shard's entries into one
+// contiguous run of the task's sorted slots (DESIGN.md §7.14).  A
+// partition whose shard ranges are not ascending and contiguous breaks
+// that, so binding it aborts instead of mis-mapping prices.
+TEST(ShardedCoordinator, NonContiguousShardTableAbortsAtBind) {
+  auto workload = MakeRandomWorkload(DenseConfig());
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  ControllerShared shared(w, model, LatencySolverConfig{});
+  TaskController controller(w, model, TaskId(0u), AgentStepConfig{},
+                            &shared);
+  // Resources alternate between two shards: every task of DenseConfig
+  // uses at least two adjacent resources, so its runs interleave.
+  std::vector<std::uint32_t> interleaved(w.resource_count());
+  for (std::size_t r = 0; r < interleaved.size(); ++r) {
+    interleaved[r] = static_cast<std::uint32_t>(r % 2);
+  }
+  const std::vector<net::EndpointId> endpoints = {0, 1};
+  EXPECT_DEATH(controller.BindShards(&endpoints, &interleaved),
+               "not one contiguous run");
+
+  // The coordinator's ascending contiguous partition binds fine.
+  std::vector<std::uint32_t> halves(w.resource_count());
+  for (std::size_t r = 0; r < halves.size(); ++r) {
+    halves[r] = r < halves.size() / 2 ? 0 : 1;
+  }
+  controller.BindShards(&endpoints, &halves);
+  EXPECT_EQ(shared.shard_count, 2u);
+}
+
 }  // namespace
 }  // namespace lla::runtime
